@@ -499,6 +499,8 @@ fn msoa(args: &ParsedArgs) -> Result<String, CliError> {
     };
     let instance: MultiRoundInstance =
         serde_json::from_str(&fs::read_to_string(args.require("input")?)?)?;
+    // Deserializing skips `MultiRoundInstance::new`'s checks.
+    instance.validate()?;
     if fault_mode {
         return msoa_faulty(args, &instance, &recovery);
     }

@@ -72,6 +72,7 @@ pub mod analysis;
 pub(crate) mod arena;
 pub mod baselines;
 pub mod bid;
+pub(crate) mod book;
 pub mod budget;
 pub mod error;
 pub mod federation;
@@ -83,7 +84,6 @@ pub mod offline;
 pub mod pricing;
 pub mod properties;
 pub mod recovery;
-pub(crate) mod round_buffer;
 pub mod service;
 pub mod ssam;
 pub mod variants;

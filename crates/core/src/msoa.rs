@@ -45,14 +45,13 @@
 //! ```
 
 use crate::bid::{Bid, Seller};
+use crate::book::{Exclusion, Fate, MarketBook, RoundBook, SellerIndex};
 use crate::error::AuctionError;
-use crate::ssam::{run_ssam_traced, SsamConfig};
-use crate::wsp::WspInstance;
+use crate::ssam::{clear_book, Cleared, SsamConfig};
 use edge_common::id::{BidId, MicroserviceId};
 use edge_common::units::Price;
 use edge_telemetry::{event, Level, Scoped, Trace, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One round's market input.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,23 +90,59 @@ impl MultiRoundInstance {
     ///
     /// # Errors
     ///
+    /// As [`MultiRoundInstance::validate`].
+    pub fn new(sellers: Vec<Seller>, rounds: Vec<RoundInput>) -> Result<Self, AuctionError> {
+        let instance = MultiRoundInstance { sellers, rounds };
+        instance.validate()?;
+        Ok(instance)
+    }
+
+    /// Checks the invariants [`MultiRoundInstance::new`] establishes —
+    /// for instances that bypassed it, such as ones deserialized from a
+    /// file.
+    ///
+    /// # Errors
+    ///
     /// * [`AuctionError::EmptyInstance`] — no rounds.
+    /// * [`AuctionError::InvalidWindow`] — a seller's window is inverted.
+    /// * [`AuctionError::ZeroAmountBid`] / [`AuctionError::InvalidPrice`]
+    ///   — a bid [`Bid::new`] would reject.
     /// * [`AuctionError::UnknownSeller`] — a bid references a seller not
     ///   in the table.
-    pub fn new(sellers: Vec<Seller>, rounds: Vec<RoundInput>) -> Result<Self, AuctionError> {
-        if rounds.is_empty() {
+    /// * [`AuctionError::DuplicateBidId`] — a seller submitted the same
+    ///   bid id twice in one round.
+    pub fn validate(&self) -> Result<(), AuctionError> {
+        if self.rounds.is_empty() {
             return Err(AuctionError::EmptyInstance);
         }
-        let known: std::collections::BTreeSet<MicroserviceId> =
-            sellers.iter().map(|s| s.id).collect();
-        for round in &rounds {
+        for s in &self.sellers {
+            Seller::new(s.id, s.capacity, s.window)?;
+        }
+        let ids: Vec<MicroserviceId> = self.sellers.iter().map(|s| s.id).collect();
+        let index = SellerIndex::new(&ids);
+        // Per seller: the round it last bid in and its last bid id there.
+        // Ids rising within a round (every generator's shape) cannot
+        // repeat; any other order gets an exact check by sorting.
+        let mut last_round = vec![usize::MAX; ids.len()];
+        let mut last_id = vec![BidId::new(0); ids.len()];
+        for (t, round) in self.rounds.iter().enumerate() {
+            let mut ordered = true;
             for bid in &round.bids {
-                if !known.contains(&bid.seller) {
-                    return Err(AuctionError::UnknownSeller(bid.seller.index()));
+                Bid::new(bid.seller, bid.id, bid.amount, bid.price.value())?;
+                let s = index
+                    .get(bid.seller)
+                    .ok_or(AuctionError::UnknownSeller(bid.seller.index()))?;
+                if last_round[s] == t && bid.id <= last_id[s] {
+                    ordered = false;
                 }
+                last_round[s] = t;
+                last_id[s] = bid.id;
+            }
+            if !ordered {
+                first_duplicate(&round.bids)?;
             }
         }
-        Ok(MultiRoundInstance { sellers, rounds })
+        Ok(())
     }
 
     /// The seller table.
@@ -128,12 +163,15 @@ impl MultiRoundInstance {
     /// `β = min_i Θ_i / a_ij` over every bid in the instance
     /// (`f64::INFINITY` when no bids exist).
     pub fn beta(&self) -> f64 {
-        let caps: BTreeMap<MicroserviceId, u64> =
-            self.sellers.iter().map(|s| (s.id, s.capacity)).collect();
+        let ids: Vec<MicroserviceId> = self.sellers.iter().map(|s| s.id).collect();
+        let index = SellerIndex::new(&ids);
         self.rounds
             .iter()
             .flat_map(|r| &r.bids)
-            .map(|b| caps[&b.seller] as f64 / b.amount as f64)
+            .map(|b| {
+                let s = index.get(b.seller).expect("bids reference known sellers");
+                self.sellers[s].capacity as f64 / b.amount as f64
+            })
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -148,20 +186,42 @@ impl MultiRoundInstance {
             .max()
             .unwrap_or(0);
         let harmonic: f64 = (1..=max_demand).map(|k| 1.0 / k as f64).sum();
-        let unit_prices: Vec<f64> = self
+        let (min_unit, max_unit) = self
             .rounds
             .iter()
             .flat_map(|r| &r.bids)
             .map(Bid::unit_price)
-            .collect();
-        let spread = match (
-            unit_prices.iter().copied().fold(f64::INFINITY, f64::min),
-            unit_prices.iter().copied().fold(0.0f64, f64::max),
-        ) {
+            .fold((f64::INFINITY, 0.0f64), |(lo, hi), u| {
+                (lo.min(u), hi.max(u))
+            });
+        let spread = match (min_unit, max_unit) {
             (min, max) if min > 0.0 && max.is_finite() => max / min,
             _ => 1.0,
         };
         (harmonic * spread).max(1.0)
+    }
+}
+
+/// The first bid (in list order) repeating an earlier bid's
+/// `(seller, bid id)`, as an error.
+fn first_duplicate(bids: &[Bid]) -> Result<(), AuctionError> {
+    let mut keyed: Vec<(MicroserviceId, BidId, usize)> = bids
+        .iter()
+        .enumerate()
+        .map(|(pos, b)| (b.seller, b.id, pos))
+        .collect();
+    keyed.sort_unstable();
+    let repeat = keyed
+        .windows(2)
+        .filter(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+        .map(|w| w[1].2)
+        .min();
+    match repeat {
+        Some(pos) => Err(AuctionError::DuplicateBidId {
+            seller: bids[pos].seller.index(),
+            bid: bids[pos].id.index(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -322,11 +382,11 @@ pub fn run_msoa_traced(
     run_msoa_impl(instance, config, trace, true)
 }
 
-/// [`run_msoa_traced`] with the incremental scaled-bid buffer disabled —
-/// every round rebuilds the slots from scratch. This is the *cold
-/// oracle* for the differential suite: same code path, same emission
-/// order, only the patching optimization turned off, so outcomes and
-/// traces must be byte-identical to the incremental run.
+/// [`run_msoa_traced`] with the persistent market book rebuilt from
+/// scratch every round. This is the *cold oracle* for the differential
+/// suite: same code path, same emission order, only the patching turned
+/// off, so outcomes and traces must be byte-identical to the persistent
+/// run.
 #[cfg(feature = "ssam-reference")]
 #[doc(hidden)]
 pub fn run_msoa_cold_traced(
@@ -338,18 +398,58 @@ pub fn run_msoa_cold_traced(
 }
 
 /// Per-seller inputs the round evaluation reads, packed for the
-/// [`RoundBuffer`]'s dirty check: window membership this round, the ψ
+/// [`RoundBook`]'s dirty check: window membership this round, the ψ
 /// bits, and consumed capacity. Floats are compared as bits.
 type MsoaCtx = (bool, u64, u64);
+
+/// Clears one round's primary auction on the book. `None` when the
+/// admitted bids cannot cover `demand` — no auction runs, exactly as a
+/// `WspInstance` over them would refuse to build — or when the reserve
+/// leaves too little supply. The nested single-stage auction inherits
+/// the trace with the round index stamped onto every one of its events.
+pub(crate) fn clear_round(
+    book: &mut MarketBook<'_>,
+    demand: u64,
+    config: &MsoaConfig,
+    t: u64,
+    trace: Trace<'_>,
+) -> Result<Option<Cleared>, AuctionError> {
+    if book.admitted_supply() < demand {
+        return Ok(None);
+    }
+    let scoped = trace
+        .sink()
+        .map(|s| Scoped::new(s, vec![("round", Value::from(t))]));
+    let ssam_trace = match &scoped {
+        Some(s) => Trace::new(s),
+        None => Trace::off(),
+    };
+    let _ssam_span = edge_telemetry::spans::enter("ssam");
+    match clear_book(book, demand, &config.ssam, ssam_trace) {
+        Ok(cleared) => Ok(Some(cleared)),
+        Err(AuctionError::InfeasibleDemand { .. }) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Records one round's patch accounting on the open `patch` span. The
+/// counts are a pure function of the workload (which sellers' contexts
+/// changed) — deterministic side.
+pub(crate) fn record_patch(stats: crate::book::PatchStats) {
+    if edge_telemetry::spans::is_enabled() {
+        edge_telemetry::spans::ctr("rebuilds", u64::from(stats.rebuilt));
+        edge_telemetry::spans::ctr("dirty_sellers", stats.dirty_sellers);
+        edge_telemetry::spans::ctr("patched_slots", stats.patched_slots);
+        edge_telemetry::spans::ctr("total_slots", stats.total_slots);
+    }
+}
 
 fn run_msoa_impl(
     instance: &MultiRoundInstance,
     config: &MsoaConfig,
     trace: Trace<'_>,
-    incremental: bool,
+    persistent: bool,
 ) -> Result<MsoaOutcome, AuctionError> {
-    use crate::round_buffer::{RoundBuffer, Slot};
-
     let sellers = instance.sellers();
     let alpha = resolve_alpha(instance, config);
     let beta = instance.beta();
@@ -363,11 +463,10 @@ fn run_msoa_impl(
         ]
     });
 
-    let index_of: BTreeMap<MicroserviceId, usize> =
-        sellers.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
     let mut psi = vec![0.0f64; sellers.len()];
     let mut chi = vec![0u64; sellers.len()];
-    let mut buffer: RoundBuffer<MsoaCtx> = RoundBuffer::new(sellers.len());
+    let seller_ids: Vec<MicroserviceId> = sellers.iter().map(|s| s.id).collect();
+    let mut book: RoundBook<MsoaCtx> = RoundBook::new(&seller_ids, config.ssam.reserve_unit_price);
     let live = crate::live::AuctionLive::handle();
     let capacity_sum: u64 = sellers.iter().map(|s| s.capacity).sum();
 
@@ -385,117 +484,88 @@ fn run_msoa_impl(
         });
         // Candidate filter: availability window and remaining capacity
         // (Alg. 2 lines 5–6); price scaling (line 8). Evaluated through
-        // the incrementally-patched buffer: a seller's slots are only
-        // recomputed when its (window, ψ, χ) context changed since the
-        // previous round — the evaluation is a pure function of that
-        // context and the bid, so patched and cold rounds produce
-        // identical bits. Trace emission below is never skipped.
-        if !incremental {
-            buffer.invalidate();
+        // the persistent book: a seller's bids are only re-evaluated
+        // when its (window, ψ, χ) context changed since the previous
+        // round — the evaluation is a pure function of that context and
+        // the bid, so patched and cold rounds produce identical bits.
+        // Trace emission below is never skipped.
+        if !persistent {
+            book.invalidate();
         }
-        let seller_ctx: Vec<MsoaCtx> = sellers
-            .iter()
-            .enumerate()
-            .map(|(si, s)| (s.available_at(t), psi[si].to_bits(), chi[si]))
-            .collect();
-        let patch_span = edge_telemetry::spans::enter("patch");
-        let (slots, originals, patch_stats) = buffer.round(
-            &input.bids,
-            &seller_ctx,
-            |b| index_of[&b.seller],
-            |si, bid| {
+        let seller_ctx: Vec<MsoaCtx> = {
+            let _ctx_span = edge_telemetry::spans::enter("ctx");
+            sellers
+                .iter()
+                .enumerate()
+                .map(|(si, s)| (s.available_at(t), psi[si].to_bits(), chi[si]))
+                .collect()
+        };
+        {
+            let _patch_span = edge_telemetry::spans::enter("patch");
+            record_patch(book.round(&input.bids, &seller_ctx, |si, bid| {
                 if !seller_ctx[si].0 {
-                    return Slot::Excluded("window");
+                    return Fate::Excluded(Exclusion::Window);
                 }
                 if chi[si] + bid.amount > sellers[si].capacity {
-                    return Slot::Excluded("capacity");
+                    return Fate::Excluded(Exclusion::Capacity);
                 }
-                Slot::Scaled(Price::new_unchecked(
+                Fate::Scaled(Price::new_unchecked(
                     bid.price.value() + bid.amount as f64 * psi[si],
                 ))
-            },
-        );
-        // Patch accounting is a pure function of the workload (which
-        // sellers' ψ/χ/window contexts changed) — deterministic side.
-        if edge_telemetry::spans::is_enabled() {
-            edge_telemetry::spans::ctr("rebuilds", u64::from(patch_stats.rebuilt));
-            edge_telemetry::spans::ctr("dirty_sellers", patch_stats.dirty_sellers);
-            edge_telemetry::spans::ctr("patched_slots", patch_stats.patched_slots);
-            edge_telemetry::spans::ctr("total_slots", patch_stats.total_slots);
+            }));
         }
-        drop(patch_span);
-        let mut scaled_bids = Vec::new();
-        for (bid, &(si, slot)) in input.bids.iter().zip(slots) {
-            match slot {
-                Slot::Excluded("capacity") => {
-                    trace.emit_with(Level::Debug, "bid.excluded", || {
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(bid.seller.index())),
-                            ("bid", Value::from(bid.id.index())),
-                            ("reason", Value::from("capacity")),
-                            ("chi", Value::from(chi[si])),
-                            ("amount", Value::from(bid.amount)),
-                            ("capacity", Value::from(sellers[si].capacity)),
-                        ]
-                    });
-                }
-                Slot::Excluded(reason) => {
-                    trace.emit_with(Level::Debug, "bid.excluded", || {
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(bid.seller.index())),
-                            ("bid", Value::from(bid.id.index())),
-                            ("reason", Value::from(reason)),
-                        ]
-                    });
-                }
-                Slot::Scaled(scaled) => {
-                    trace.emit_with(Level::Debug, "bid.scaled", || {
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(bid.seller.index())),
-                            ("bid", Value::from(bid.id.index())),
-                            ("amount", Value::from(bid.amount)),
-                            ("true_price", Value::from(bid.price.value())),
-                            ("psi", Value::from(psi[si])),
-                            ("psi_adjust", Value::from(bid.amount as f64 * psi[si])),
-                            ("scaled_price", Value::from(scaled.value())),
-                        ]
-                    });
-                    scaled_bids.push(Bid {
-                        seller: bid.seller,
-                        id: bid.id,
-                        amount: bid.amount,
-                        price: scaled,
-                    });
+        let market = book.book();
+        if trace.is_on() {
+            for (pos, bid) in input.bids.iter().enumerate() {
+                let si = market.owner(pos);
+                match market.fate(pos) {
+                    Fate::Excluded(Exclusion::Capacity) => {
+                        trace.emit_with(Level::Debug, "bid.excluded", || {
+                            vec![
+                                ("round", Value::from(t)),
+                                ("seller", Value::from(bid.seller.index())),
+                                ("bid", Value::from(bid.id.index())),
+                                ("reason", Value::from("capacity")),
+                                ("chi", Value::from(chi[si])),
+                                ("amount", Value::from(bid.amount)),
+                                ("capacity", Value::from(sellers[si].capacity)),
+                            ]
+                        });
+                    }
+                    Fate::Excluded(reason) => {
+                        trace.emit_with(Level::Debug, "bid.excluded", || {
+                            vec![
+                                ("round", Value::from(t)),
+                                ("seller", Value::from(bid.seller.index())),
+                                ("bid", Value::from(bid.id.index())),
+                                ("reason", Value::from(reason.as_str())),
+                            ]
+                        });
+                    }
+                    Fate::Scaled(scaled) => {
+                        trace.emit_with(Level::Debug, "bid.scaled", || {
+                            vec![
+                                ("round", Value::from(t)),
+                                ("seller", Value::from(bid.seller.index())),
+                                ("bid", Value::from(bid.id.index())),
+                                ("amount", Value::from(bid.amount)),
+                                ("true_price", Value::from(bid.price.value())),
+                                ("psi", Value::from(psi[si])),
+                                ("psi_adjust", Value::from(bid.amount as f64 * psi[si])),
+                                ("scaled_price", Value::from(scaled.value())),
+                            ]
+                        });
+                    }
                 }
             }
         }
 
         let demand = input.estimated_demand;
-        let ssam_input = WspInstance::new(demand, scaled_bids);
-        // The nested single-stage auction inherits the trace with the
-        // round index stamped onto every one of its events.
-        let scoped = trace
-            .sink()
-            .map(|s| Scoped::new(s, vec![("round", Value::from(t))]));
-        let ssam_trace = match &scoped {
-            Some(s) => Trace::new(s),
-            None => Trace::off(),
-        };
         let pricing_before = edge_telemetry::pricing::snapshot();
-        let outcome = match ssam_input {
-            Ok(inst) => match run_ssam_traced(&inst, &config.ssam, ssam_trace) {
-                Ok(o) => Some(o),
-                Err(AuctionError::InfeasibleDemand { .. }) => None,
-                Err(e) => return Err(e),
-            },
-            Err(AuctionError::InfeasibleDemand { .. }) => None,
-            Err(e) => return Err(e),
-        };
+        let cleared = clear_round(market, demand, config, t, trace)?;
 
-        let result = match outcome {
+        let _settle_span = edge_telemetry::spans::enter("settle");
+        let result = match cleared {
             None => RoundResult {
                 round: t,
                 demand,
@@ -504,11 +574,11 @@ fn run_msoa_impl(
                 total_payment: Price::ZERO,
                 infeasible: demand > 0,
             },
-            Some(o) => {
-                let mut winners = Vec::with_capacity(o.winners.len());
-                for w in &o.winners {
-                    let original = &input.bids[originals[&(w.seller, w.bid)]];
-                    let si = index_of[&w.seller];
+            Some(Cleared { outcome, positions }) => {
+                let mut winners = Vec::with_capacity(outcome.winners.len());
+                for (w, &pos) in outcome.winners.iter().zip(&positions) {
+                    let original = &input.bids[pos as usize];
+                    let si = market.owner(pos as usize);
                     // Line 11: multiplicative ψ update for winners.
                     let theta = sellers[si].capacity as f64;
                     let a = original.amount as f64;
@@ -613,7 +683,7 @@ fn run_msoa_impl(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn bid(seller: usize, id: usize, amount: u64, price: f64) -> Bid {
@@ -644,6 +714,108 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, AuctionError::UnknownSeller(7));
+    }
+
+    #[test]
+    fn validates_duplicate_bid_ids() {
+        let sellers = vec![seller(0, 3, (0, 0)), seller(1, 10, (0, 0))];
+        let err = MultiRoundInstance::new(
+            sellers.clone(),
+            vec![RoundInput::new(
+                2,
+                2,
+                vec![bid(0, 0, 2, 4.0), bid(1, 0, 2, 40.0), bid(0, 0, 5, 9.0)],
+            )],
+        )
+        .unwrap_err();
+        assert_eq!(err, AuctionError::DuplicateBidId { seller: 0, bid: 0 });
+        // The same id in different rounds, or for different sellers, is
+        // fine; descending ids take the exact (sorting) check.
+        let rounds = vec![
+            RoundInput::new(
+                2,
+                2,
+                vec![bid(0, 1, 2, 4.0), bid(0, 0, 1, 2.0), bid(1, 0, 2, 6.0)],
+            ),
+            RoundInput::new(2, 2, vec![bid(0, 1, 2, 4.0), bid(1, 1, 2, 6.0)]),
+        ];
+        assert!(MultiRoundInstance::new(sellers.clone(), rounds).is_ok());
+        let err = MultiRoundInstance::new(
+            sellers,
+            vec![RoundInput::new(
+                2,
+                2,
+                vec![
+                    bid(1, 3, 2, 4.0),
+                    bid(1, 1, 1, 2.0),
+                    bid(1, 3, 3, 6.0),
+                    bid(1, 1, 3, 6.0),
+                ],
+            )],
+        )
+        .unwrap_err();
+        assert_eq!(err, AuctionError::DuplicateBidId { seller: 1, bid: 3 });
+    }
+
+    /// A deserialized instance skips [`MultiRoundInstance::new`]; the
+    /// round loop must still settle each winner against the bid that
+    /// actually won, never against another copy of its `(seller, id)`.
+    pub(crate) fn duplicate_id_instance() -> MultiRoundInstance {
+        let json = r#"{
+            "sellers": [
+                {"id": 0, "capacity": 3, "window": [0, 0]},
+                {"id": 1, "capacity": 10, "window": [0, 0]}
+            ],
+            "rounds": [{
+                "estimated_demand": 2,
+                "true_demand": 2,
+                "bids": [
+                    {"seller": 0, "id": 0, "amount": 2, "price": 4.0},
+                    {"seller": 0, "id": 0, "amount": 5, "price": 9.0},
+                    {"seller": 1, "id": 0, "amount": 2, "price": 40.0}
+                ]
+            }]
+        }"#;
+        let instance: MultiRoundInstance = serde_json::from_str(json).unwrap();
+        assert_eq!(
+            instance.validate(),
+            Err(AuctionError::DuplicateBidId { seller: 0, bid: 0 })
+        );
+        instance
+    }
+
+    #[test]
+    fn winner_settles_against_the_bid_that_won() {
+        let out = run_msoa(&duplicate_id_instance(), &MsoaConfig::pinned(2.0)).unwrap();
+        let w = &out.rounds[0].winners[0];
+        assert_eq!((w.seller, w.amount), (MicroserviceId::new(0), 2));
+        assert_eq!(w.true_price, Price::new(4.0).unwrap());
+        assert_eq!(out.chi, vec![2, 0], "capacity 3 is respected");
+    }
+
+    #[test]
+    fn validate_rejects_what_new_rejects() {
+        let inverted = r#"{
+            "sellers": [{"id": 0, "capacity": 3, "window": [2, 1]}],
+            "rounds": [{"estimated_demand": 1, "true_demand": 1, "bids": []}]
+        }"#;
+        let instance: MultiRoundInstance = serde_json::from_str(inverted).unwrap();
+        assert_eq!(
+            instance.validate(),
+            Err(AuctionError::InvalidWindow { start: 2, end: 1 })
+        );
+        let zero = r#"{
+            "sellers": [{"id": 0, "capacity": 3, "window": [0, 1]}],
+            "rounds": [{"estimated_demand": 1, "true_demand": 1,
+                        "bids": [{"seller": 0, "id": 0, "amount": 0, "price": 1.0}]}]
+        }"#;
+        let instance: MultiRoundInstance = serde_json::from_str(zero).unwrap();
+        assert_eq!(instance.validate(), Err(AuctionError::ZeroAmountBid));
+        let empty = MultiRoundInstance {
+            sellers: vec![],
+            rounds: vec![],
+        };
+        assert_eq!(empty.validate(), Err(AuctionError::EmptyInstance));
     }
 
     #[test]

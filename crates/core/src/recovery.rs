@@ -69,9 +69,10 @@
 //! ```
 
 use crate::bid::Bid;
+use crate::book::{Exclusion, Fate, RoundBook};
 use crate::error::AuctionError;
-use crate::msoa::{resolve_alpha, MsoaConfig, MultiRoundInstance};
-use crate::ssam::run_ssam_traced;
+use crate::msoa::{clear_round, record_patch, resolve_alpha, MsoaConfig, MultiRoundInstance};
+use crate::ssam::{run_ssam_traced, Cleared};
 use crate::wsp::WspInstance;
 use edge_common::id::{BidId, MicroserviceId};
 use edge_common::indicator::{Indicator, ObservedIndicators};
@@ -504,10 +505,11 @@ pub fn run_msoa_with_faults_traced(
     run_msoa_with_faults_impl(instance, config, plan, recovery, trace, true)
 }
 
-/// [`run_msoa_with_faults_traced`] with the incremental scaled-bid
-/// buffer disabled — the cold oracle for the differential suite. Same
-/// code path and emission order as the incremental run, only the
-/// patching turned off; outcomes and traces must be byte-identical.
+/// [`run_msoa_with_faults_traced`] with the persistent market book
+/// rebuilt from scratch every round — the cold oracle for the
+/// differential suite. Same code path and emission order as the
+/// persistent run, only the patching turned off; outcomes and traces
+/// must be byte-identical.
 #[cfg(feature = "ssam-reference")]
 #[doc(hidden)]
 pub fn run_msoa_with_faults_cold_traced(
@@ -521,7 +523,7 @@ pub fn run_msoa_with_faults_cold_traced(
 }
 
 /// Per-seller inputs the primary-auction evaluation reads, packed for
-/// the [`RoundBuffer`]'s dirty check: window membership, crash status,
+/// the [`RoundBook`]'s dirty check: window membership, crash status,
 /// effective blacklisting, ψ bits, ρ bits, and consumed capacity.
 /// Floats are compared as bits.
 type FaultCtx = (bool, bool, bool, u64, u64, u64);
@@ -532,10 +534,8 @@ fn run_msoa_with_faults_impl(
     plan: &FaultPlan,
     recovery: &RecoveryConfig,
     trace: Trace<'_>,
-    incremental: bool,
+    persistent: bool,
 ) -> Result<FaultyMsoaOutcome, AuctionError> {
-    use crate::round_buffer::{RoundBuffer, Slot};
-
     let sellers = instance.sellers();
     let alpha = resolve_alpha(instance, config);
     let beta = instance.beta();
@@ -554,8 +554,6 @@ fn run_msoa_with_faults_impl(
         ]
     });
 
-    let index_of: BTreeMap<MicroserviceId, usize> =
-        sellers.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
     let mut state = MarketState {
         psi: vec![0.0; sellers.len()],
         chi: vec![0; sellers.len()],
@@ -563,7 +561,8 @@ fn run_msoa_with_faults_impl(
         blacklisted: vec![false; sellers.len()],
         alpha,
     };
-    let mut buffer: RoundBuffer<FaultCtx> = RoundBuffer::new(sellers.len());
+    let seller_ids: Vec<MicroserviceId> = sellers.iter().map(|s| s.id).collect();
+    let mut book: RoundBook<FaultCtx> = RoundBook::new(&seller_ids, config.ssam.reserve_unit_price);
     let auction_live = crate::live::AuctionLive::handle();
     let recovery_live = crate::live::RecoveryLive::handle();
     let capacity_sum: u64 = sellers.iter().map(|s| s.capacity).sum();
@@ -593,104 +592,95 @@ fn run_msoa_with_faults_impl(
         });
 
         // --- Primary auction (Alg. 2 lines 5–8 plus fault filters). ---
-        // Evaluated through the incrementally-patched buffer: a
-        // seller's slots are only recomputed when its (window, crash,
-        // blacklist, ψ, ρ, χ) context changed since the previous round.
-        // The evaluation is a pure function of that context and the
-        // bid, so patched and cold rounds produce identical bits; trace
-        // emission below is never skipped. The backfill ladder stays
-        // cold — its candidate set depends on intra-round settlement.
-        if !incremental {
-            buffer.invalidate();
+        // Evaluated through the persistent book: a seller's bids are
+        // only re-evaluated when its (window, crash, blacklist, ψ, ρ, χ)
+        // context changed since the previous round. The evaluation is a
+        // pure function of that context and the bid, so patched and cold
+        // rounds produce identical bits; trace emission below is never
+        // skipped. The backfill ladder stays cold — its candidate set
+        // depends on intra-round settlement.
+        if !persistent {
+            book.invalidate();
         }
-        let seller_ctx: Vec<FaultCtx> = sellers
-            .iter()
-            .enumerate()
-            .map(|(si, s)| {
-                (
-                    s.available_at(t),
-                    plan.crashed(t, s.id),
-                    recovery.enabled && state.blacklisted[si],
-                    state.psi[si].to_bits(),
-                    state.rho[si].to_bits(),
-                    state.chi[si],
-                )
-            })
-            .collect();
-        let patch_span = edge_telemetry::spans::enter("patch");
-        let (slots, originals, patch_stats) = buffer.round(
-            &input.bids,
-            &seller_ctx,
-            |b| index_of[&b.seller],
-            |si, bid| {
+        let seller_ctx: Vec<FaultCtx> = {
+            let _ctx_span = edge_telemetry::spans::enter("ctx");
+            sellers
+                .iter()
+                .enumerate()
+                .map(|(si, s)| {
+                    (
+                        s.available_at(t),
+                        plan.crashed(t, s.id),
+                        recovery.enabled && state.blacklisted[si],
+                        state.psi[si].to_bits(),
+                        state.rho[si].to_bits(),
+                        state.chi[si],
+                    )
+                })
+                .collect()
+        };
+        {
+            let _patch_span = edge_telemetry::spans::enter("patch");
+            record_patch(book.round(&input.bids, &seller_ctx, |si, bid| {
                 let (window_ok, crashed, blacklisted, _, _, chi) = seller_ctx[si];
                 if crashed {
-                    return Slot::Excluded("crashed");
+                    return Fate::Excluded(Exclusion::Crashed);
                 }
                 if !window_ok {
-                    return Slot::Excluded("window");
+                    return Fate::Excluded(Exclusion::Window);
                 }
                 if blacklisted {
-                    return Slot::Excluded("blacklisted");
+                    return Fate::Excluded(Exclusion::Blacklisted);
                 }
                 if chi + bid.amount > sellers[si].capacity {
-                    return Slot::Excluded("capacity");
+                    return Fate::Excluded(Exclusion::Capacity);
                 }
-                Slot::Scaled(state.scaled_price(si, bid, recovery))
-            },
-        );
-        if edge_telemetry::spans::is_enabled() {
-            edge_telemetry::spans::ctr("rebuilds", u64::from(patch_stats.rebuilt));
-            edge_telemetry::spans::ctr("dirty_sellers", patch_stats.dirty_sellers);
-            edge_telemetry::spans::ctr("patched_slots", patch_stats.patched_slots);
-            edge_telemetry::spans::ctr("total_slots", patch_stats.total_slots);
+                Fate::Scaled(state.scaled_price(si, bid, recovery))
+            }));
         }
-        drop(patch_span);
-        let mut scaled_bids = Vec::new();
-        for (bid, &(si, slot)) in input.bids.iter().zip(slots) {
-            match slot {
-                Slot::Excluded(reason) => {
-                    trace.emit_with(Level::Debug, "bid.excluded", || {
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(bid.seller.index())),
-                            ("bid", Value::from(bid.id.index())),
-                            ("reason", Value::from(reason)),
-                        ]
-                    });
-                }
-                Slot::Scaled(scaled) => {
-                    trace.emit_with(Level::Debug, "bid.scaled", || {
-                        let psi_adjust = bid.amount as f64 * state.psi[si];
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(bid.seller.index())),
-                            ("bid", Value::from(bid.id.index())),
-                            ("true_price", Value::from(bid.price.value())),
-                            ("psi_adjust", Value::from(psi_adjust)),
-                            (
-                                "reliability_adjust",
-                                Value::from(scaled.value() - bid.price.value() - psi_adjust),
-                            ),
-                            ("rho", Value::from(state.rho[si])),
-                            ("scaled_price", Value::from(scaled.value())),
-                        ]
-                    });
-                    scaled_bids.push(Bid {
-                        seller: bid.seller,
-                        id: bid.id,
-                        amount: bid.amount,
-                        price: scaled,
-                    });
+        let market = book.book();
+        if trace.is_on() {
+            for (pos, bid) in input.bids.iter().enumerate() {
+                let si = market.owner(pos);
+                match market.fate(pos) {
+                    Fate::Excluded(reason) => {
+                        trace.emit_with(Level::Debug, "bid.excluded", || {
+                            vec![
+                                ("round", Value::from(t)),
+                                ("seller", Value::from(bid.seller.index())),
+                                ("bid", Value::from(bid.id.index())),
+                                ("reason", Value::from(reason.as_str())),
+                            ]
+                        });
+                    }
+                    Fate::Scaled(scaled) => {
+                        trace.emit_with(Level::Debug, "bid.scaled", || {
+                            let psi_adjust = bid.amount as f64 * state.psi[si];
+                            vec![
+                                ("round", Value::from(t)),
+                                ("seller", Value::from(bid.seller.index())),
+                                ("bid", Value::from(bid.id.index())),
+                                ("true_price", Value::from(bid.price.value())),
+                                ("psi_adjust", Value::from(psi_adjust)),
+                                (
+                                    "reliability_adjust",
+                                    Value::from(scaled.value() - bid.price.value() - psi_adjust),
+                                ),
+                                ("rho", Value::from(state.rho[si])),
+                                ("scaled_price", Value::from(scaled.value())),
+                            ]
+                        });
+                    }
                 }
             }
         }
-        let primary = run_stage(demand, scaled_bids, config, t, trace)?;
+        let primary = clear_round(market, demand, config, t, trace)?;
         let primary_infeasible = primary.is_none() && demand > 0;
-        if let Some(outcome) = primary {
-            for w in &outcome.winners {
-                let original = &input.bids[originals[&(w.seller, w.bid)]];
-                let si = index_of[&w.seller];
+        let settle_span = edge_telemetry::spans::enter("settle");
+        if let Some(Cleared { outcome, positions }) = primary {
+            for (w, &pos) in outcome.winners.iter().zip(&positions) {
+                let original = &input.bids[pos as usize];
+                let si = market.owner(pos as usize);
                 state.settle_win(si, sellers[si].capacity as f64, original);
                 let settled = settle_delivery(
                     plan,
@@ -715,6 +705,7 @@ fn run_msoa_with_faults_impl(
                 winners.push(settled);
             }
         }
+        drop(settle_span);
 
         let mut delivered: u64 = winners.iter().map(|w| w.delivered).sum();
         let mut shortfall = demand.saturating_sub(delivered);
@@ -737,9 +728,9 @@ fn run_msoa_with_faults_impl(
                     ]
                 });
                 let mut bids = Vec::new();
-                let mut origs: BTreeMap<(MicroserviceId, BidId), &Bid> = BTreeMap::new();
-                for bid in &input.bids {
-                    let si = index_of[&bid.seller];
+                let mut origs: BTreeMap<(MicroserviceId, BidId), (usize, &Bid)> = BTreeMap::new();
+                for (pos, bid) in input.bids.iter().enumerate() {
+                    let si = market.owner(pos);
                     if !sellers[si].available_at(t) || plan.crashed(t, bid.seller) {
                         continue;
                     }
@@ -767,7 +758,7 @@ fn run_msoa_with_faults_impl(
                         amount: bid.amount,
                         price: state.scaled_price(si, bid, recovery),
                     });
-                    origs.insert((bid.seller, bid.id), bid);
+                    origs.insert((bid.seller, bid.id), (si, bid));
                 }
                 let Some(outcome) = run_stage(shortfall, bids, config, t, trace)? else {
                     // Infeasible at this rung — the attempt is spent,
@@ -775,8 +766,7 @@ fn run_msoa_with_faults_impl(
                     continue;
                 };
                 for w in &outcome.winners {
-                    let original = origs[&(w.seller, w.bid)];
-                    let si = index_of[&w.seller];
+                    let (si, original) = origs[&(w.seller, w.bid)];
                     state.settle_win(si, sellers[si].capacity as f64, original);
                     let settled = settle_delivery(
                         plan,
@@ -806,6 +796,7 @@ fn run_msoa_with_faults_impl(
             }
         }
 
+        let _settle_span = edge_telemetry::spans::enter("settle");
         let social_cost: Price = winners.iter().map(|w| w.true_price).sum();
         let platform_cost: Price = winners.iter().map(|w| w.payment_made).sum();
         let clawed_back = Price::new_unchecked(
@@ -1099,6 +1090,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn winner_settles_against_the_bid_that_won() {
+        let instance = crate::msoa::tests::duplicate_id_instance();
+        let out = run_msoa_with_faults(
+            &instance,
+            &MsoaConfig::pinned(2.0),
+            &FaultPlan::empty(),
+            &RecoveryConfig::default(),
+        )
+        .unwrap();
+        let w = &out.rounds[0].winners[0];
+        assert_eq!((w.seller, w.amount), (MicroserviceId::new(0), 2));
+        assert_eq!(w.true_price, Price::new(4.0).unwrap());
+        assert_eq!(out.chi, vec![2, 0], "capacity 3 is respected");
     }
 
     #[test]

@@ -55,17 +55,9 @@ pub const LOG_VERSION: u32 = 1;
 /// Domain separator seeding the header record's digest chain.
 const LOG_GENESIS: &str = "edge-market-event-log";
 
-/// FNV-1a 64 over a byte string — the same fingerprint the scale
-/// benchmark and `serve` use for outcome digests.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a 64 over a byte string — the workspace's one digest helper,
+/// re-exported here for callers that import it from the service layer.
+pub use edge_common::rng::fnv1a64;
 
 /// One market event, as recorded in the log.
 ///

@@ -50,6 +50,7 @@
 //! # }
 //! ```
 
+use crate::book::{HeapCandidates, MarketBook};
 use crate::error::AuctionError;
 use crate::wsp::WspInstance;
 use edge_common::id::{BidId, MicroserviceId};
@@ -254,20 +255,43 @@ pub fn run_ssam_traced(
     trace: Trace<'_>,
 ) -> Result<SsamOutcome, AuctionError> {
     let _ssam_span = edge_telemetry::spans::enter("ssam");
-    // Candidate set 𝔽^t: all bids, filtered by the reserve if present.
-    let candidates: Vec<&crate::bid::Bid> = instance
-        .bids()
-        .filter(|b| match config.reserve_unit_price {
-            Some(r) => b.unit_price() <= r,
-            None => true,
-        })
-        .collect();
+    let mut book = MarketBook::from_instance(instance, config.reserve_unit_price);
+    clear_book(&mut book, instance.demand(), config, trace).map(|c| c.outcome)
+}
 
+/// A cleared auction: the outcome plus each winner's position in the
+/// book's bid list (selection order) — the link from a winner back to
+/// the submitted bid it settles against.
+#[derive(Debug)]
+pub(crate) struct Cleared {
+    /// The auction outcome.
+    pub outcome: SsamOutcome,
+    /// Bid-list position of each winner, in selection order.
+    pub positions: Vec<u32>,
+}
+
+/// SSAM's selection and pricing over a [`MarketBook`] — the one
+/// implementation behind [`run_ssam_traced`] and both MSOA round loops.
+/// Runs inside the caller's `ssam` span; the book must have been built
+/// with `config`'s reserve.
+///
+/// # Errors
+///
+/// [`AuctionError::InfeasibleDemand`] when the candidates (the admitted
+/// bids within the reserve) cannot cover `demand`.
+pub(crate) fn clear_book(
+    book: &mut MarketBook<'_>,
+    demand: u64,
+    config: &SsamConfig,
+    trace: Trace<'_>,
+) -> Result<Cleared, AuctionError> {
+    // Candidate set 𝔽^t: the admitted bids, filtered by the reserve.
+    let candidates = book.candidate_count();
     trace.emit_with(Level::Info, "ssam.start", || {
         vec![
-            ("demand", Value::from(instance.demand())),
-            ("bids", Value::from(instance.bids().count())),
-            ("candidates", Value::from(candidates.len())),
+            ("demand", Value::from(demand)),
+            ("bids", Value::from(book.admitted_count())),
+            ("candidates", Value::from(candidates)),
             (
                 "reserve_unit_price",
                 config
@@ -278,82 +302,60 @@ pub fn run_ssam_traced(
         ]
     });
     if trace.is_on() {
-        if let Some(r) = config.reserve_unit_price {
-            for b in instance.bids().filter(|b| b.unit_price() > r) {
-                trace.emit_with(Level::Debug, "ssam.excluded", || {
-                    vec![
-                        ("seller", Value::from(b.seller.index())),
-                        ("bid", Value::from(b.id.index())),
-                        ("unit_price", Value::from(b.unit_price())),
-                        ("reason", Value::from("reserve")),
-                    ]
-                });
-            }
-        }
+        book.for_each_reserve_excluded(|seller, bid, unit_price| {
+            trace.emit_with(Level::Debug, "ssam.excluded", || {
+                vec![
+                    ("seller", Value::from(seller.index())),
+                    ("bid", Value::from(bid.index())),
+                    ("unit_price", Value::from(unit_price)),
+                    ("reason", Value::from("reserve")),
+                ]
+            });
+        });
     }
 
     // Feasibility under the filter.
-    let mut per_seller_best: std::collections::BTreeMap<MicroserviceId, u64> =
-        std::collections::BTreeMap::new();
-    for b in &candidates {
-        let e = per_seller_best.entry(b.seller).or_insert(0);
-        *e = (*e).max(b.amount);
-    }
-    let supply: u64 = per_seller_best.values().sum();
-    if supply < instance.demand() {
-        return Err(AuctionError::InfeasibleDemand {
-            demand: instance.demand(),
-            supply,
-        });
+    let supply = book.candidate_supply();
+    if supply < demand {
+        return Err(AuctionError::InfeasibleDemand { demand, supply });
     }
 
     // Winner selection runs on one of two engines computing the same
     // argmin sequence (and therefore bit-identical selections, payments,
     // and traces — the differential suite pins them to each other and to
-    // the scan oracle): the SoA lane arena (`crate::arena`), sharded by
-    // seller region, for instances whose distinct amounts fit the lane
-    // table; or the original lazy-deletion heap for arbitrarily wide
-    // instances. Wall-clock telemetry goes to the ambient selection
+    // the scan oracle): the book's SoA lane arena (`crate::arena`),
+    // sharded by seller region, for instances whose distinct amounts fit
+    // the lane table; or the original lazy-deletion heap for arbitrarily
+    // wide instances. Wall-clock telemetry goes to the ambient selection
     // counters, never into the trace.
-    let demand = instance.demand();
     let mut stats = SsamStats::default();
     let selection_span = edge_telemetry::spans::enter("selection");
     let selection_start = std::time::Instant::now();
-    let table = crate::arena::SellerTable::new(&per_seller_best);
-    let class_cap = crate::pricing::lane_class_cap();
-    let arena = {
-        let _build_span = edge_telemetry::spans::enter("arena.build");
-        if class_cap == 0 {
-            None
-        } else {
-            crate::arena::BidArena::build(
-                &candidates,
-                &table,
-                crate::pricing::effective_shards(table.len()),
-                class_cap,
-            )
-        }
+    let engine = if book.ensure_arena(crate::pricing::lane_class_cap()) {
+        Engine::Arena(book.arena().expect("ensure_arena kept an arena"))
+    } else {
+        Engine::Heap(book.heap_candidates())
     };
-    let lanes = arena.as_ref().map_or(0, |a| a.lanes());
+    let table = book.table();
+    let lanes = match &engine {
+        Engine::Arena(a) => a.lanes(),
+        Engine::Heap(_) => 0,
+    };
     if edge_telemetry::spans::is_enabled() {
         edge_telemetry::spans::diag("lanes", lanes as u64);
-        edge_telemetry::spans::lane_gauges(lanes as u64, candidates.len() as u64);
+        edge_telemetry::spans::lane_gauges(lanes as u64, candidates as u64);
     }
     let mut merge_ns = 0u64;
     let (selection, snapshots) = {
         let _merge_span = edge_telemetry::spans::enter("merge");
-        match &arena {
-            Some(a) => {
+        match &engine {
+            Engine::Arena(a) => {
                 let merge_start = std::time::Instant::now();
-                let (sel, snaps) =
-                    greedy_select_arena(a, &table, &candidates, demand, &mut stats.heap);
+                let selected = greedy_select_arena(a, table, supply, demand, &mut stats.heap);
                 merge_ns = merge_start.elapsed().as_nanos() as u64;
-                (sel, Some(snaps))
+                selected
             }
-            None => (
-                greedy_select(candidates.clone(), demand, &mut stats.heap),
-                None,
-            ),
+            Engine::Heap(h) => (greedy_select_heap(h, demand, &mut stats.heap), Vec::new()),
         }
     };
     edge_telemetry::selection::record(selection_start.elapsed().as_nanos() as u64, merge_ns);
@@ -364,17 +366,15 @@ pub fn run_ssam_traced(
     if edge_telemetry::spans::is_enabled() {
         edge_telemetry::spans::ctr("winners", selection.len() as u64);
         edge_telemetry::spans::ctr("pop_best_scans", selection_scans);
-        edge_telemetry::spans::ctr(
-            "snapshots",
-            snapshots.as_ref().map_or(0, |s| s.len()) as u64,
-        );
+        edge_telemetry::spans::ctr("snapshots", snapshots.len() as u64);
         edge_telemetry::spans::diag("lane_head_reads", selection_reads);
     }
     drop(selection_span);
 
     if trace.is_on() {
         let mut remaining = demand;
-        for (order, (winner, c)) in selection.iter().enumerate() {
+        for (order, pick) in selection.iter().enumerate() {
+            let (winner, c) = (&pick.bid, pick.contribution);
             let before = remaining;
             remaining -= c;
             trace.emit_with(Level::Debug, "ssam.select", || {
@@ -383,9 +383,9 @@ pub fn run_ssam_traced(
                     ("seller", Value::from(winner.seller.index())),
                     ("bid", Value::from(winner.id.index())),
                     ("amount", Value::from(winner.amount)),
-                    ("contribution", Value::from(*c)),
+                    ("contribution", Value::from(c)),
                     ("price", Value::from(winner.price.value())),
-                    ("unit_price", Value::from(winner.price.value() / *c as f64)),
+                    ("unit_price", Value::from(winner.price.value() / c as f64)),
                     ("remaining_before", Value::from(before)),
                 ]
             });
@@ -411,26 +411,37 @@ pub fn run_ssam_traced(
     // at any thread count.
     let pricing_span = edge_telemetry::spans::enter("pricing");
     let pricing_start = std::time::Instant::now();
-    let (prefix, position) = {
+    let (prefix, position_by_slot) = {
         let _prefix_span = edge_telemetry::spans::enter("prefix.build");
-        build_prefix(&selection, demand, supply, &per_seller_best)
+        build_prefix(&selection, demand, supply, table)
     };
     let replays: Vec<ReplayOutcome> = {
         let _replay_span = edge_telemetry::spans::enter("replays");
-        match (&arena, &snapshots) {
-            (Some(a), Some(snaps)) => {
-                batched_replays(a, &table, &selection, &prefix, &position, snaps)
+        match &engine {
+            Engine::Arena(a) => {
+                batched_replays(a, table, &selection, &prefix, &position_by_slot, &snapshots)
             }
-            _ => crate::pricing::fan_out(selection.len(), |p| {
-                let (winner, _) = &selection[p];
-                let phantom = per_seller_best.get(&winner.seller).copied().unwrap_or(0);
-                replay_payment(&candidates, &prefix, &position, p, winner, phantom)
-            }),
+            Engine::Heap(h) => {
+                let bids: Vec<&crate::bid::Bid> = h.bids.iter().collect();
+                crate::pricing::fan_out(selection.len(), |p| {
+                    let phantom = table.max_of(selection[p].slot);
+                    replay_payment(
+                        &bids,
+                        &h.slots,
+                        &prefix,
+                        &position_by_slot,
+                        p,
+                        &selection[p],
+                        phantom,
+                    )
+                })
+            }
         }
     };
 
     let mut winners: Vec<WinningBid> = Vec::with_capacity(selection.len());
-    for ((winner, c), replay) in selection.iter().zip(replays) {
+    for (pick, replay) in selection.iter().zip(replays) {
+        let (winner, c) = (&pick.bid, pick.contribution);
         stats.heap.absorb(replay.heap);
         stats.payment_replays += 1;
         stats.replay_iterations += replay.iterations;
@@ -480,7 +491,7 @@ pub fn run_ssam_traced(
             seller: winner.seller,
             bid: winner.id,
             amount_offered: winner.amount,
-            contribution: *c,
+            contribution: c,
             price: winner.price,
             payment: Price::new_unchecked(payment_value),
         });
@@ -534,7 +545,10 @@ pub fn run_ssam_traced(
         vec![
             (
                 "engine",
-                Value::from(if arena.is_some() { "arena" } else { "heap" }),
+                Value::from(match engine {
+                    Engine::Arena(_) => "arena",
+                    Engine::Heap(_) => "heap",
+                }),
             ),
             ("lanes", Value::from(lanes)),
             ("heap_pops", Value::from(stats.heap.pops)),
@@ -555,13 +569,34 @@ pub fn run_ssam_traced(
         ]
     });
 
-    Ok(SsamOutcome {
-        winners,
-        demand,
-        social_cost,
-        total_payment,
-        certificate,
+    Ok(Cleared {
+        outcome: SsamOutcome {
+            winners,
+            demand,
+            social_cost,
+            total_payment,
+            certificate,
+        },
+        positions: selection.iter().map(|p| p.pos).collect(),
     })
+}
+
+/// The selection engine a clearing runs on: the book's lane arena, or
+/// the lazy-deletion heap over materialized candidates when the
+/// instance is not lane-friendly.
+enum Engine<'a> {
+    Arena(&'a crate::arena::BidArena),
+    Heap(HeapCandidates),
+}
+
+/// One greedy selection: the (scaled) bid, its contribution, and where
+/// it lives in the book — seller slot and bid-list position.
+#[derive(Debug, Clone, Copy)]
+struct Picked {
+    bid: crate::bid::Bid,
+    contribution: u64,
+    slot: u32,
+    pos: u32,
 }
 
 /// One slot in the lazy-deletion heap: a candidate bid with the greedy
@@ -699,7 +734,7 @@ impl<'a> HeapGreedy<'a> {
     /// heap. Each pop either settles a bid for good (winner, sold-seller
     /// discard, or permanent unsafe discard) or re-pushes it with a
     /// recomputed key; a bid is re-pushed at most once per generation.
-    fn pop_best_safe(&mut self) -> Option<&'a crate::bid::Bid> {
+    fn pop_best_safe(&mut self) -> Option<usize> {
         self.stats.scans += 1;
         while let Some(entry) = self.heap.pop() {
             self.stats.pops += 1;
@@ -724,7 +759,7 @@ impl<'a> HeapGreedy<'a> {
                 self.stats.unsafe_discards += 1;
                 continue; // once unsafe, always unsafe — drop permanently
             }
-            return Some(bid);
+            return Some(entry.idx);
         }
         None
     }
@@ -742,23 +777,37 @@ impl<'a> HeapGreedy<'a> {
 
 /// The greedy winner selection of Algorithm 1 (lines 3–12): repeatedly
 /// accept the safe bid minimizing `∇/U`, then drop the winner's other
-/// bids. Returns `(bid, contribution)` pairs in selection order.
+/// bids. Returns `(candidate index, contribution)` pairs in selection
+/// order.
 fn greedy_select(
     candidates: Vec<&crate::bid::Bid>,
     demand: u64,
     stats: &mut HeapStats,
-) -> Vec<(crate::bid::Bid, u64)> {
+) -> Vec<(usize, u64)> {
     let mut state = HeapGreedy::new(candidates, demand, 0);
     let mut selection = Vec::new();
     while state.remaining > 0 {
-        let winner = *state
+        let winner = state
             .pop_best_safe()
             .expect("a safe bid exists while the feasibility invariant holds");
-        let c = state.sell(&winner);
+        let c = state.sell(state.bids[winner]);
         selection.push((winner, c));
     }
     stats.absorb(state.stats);
     selection
+}
+
+/// [`greedy_select`] over a book's materialized candidates.
+fn greedy_select_heap(h: &HeapCandidates, demand: u64, stats: &mut HeapStats) -> Vec<Picked> {
+    greedy_select(h.bids.iter().collect(), demand, stats)
+        .into_iter()
+        .map(|(i, contribution)| Picked {
+            bid: h.bids[i],
+            contribution,
+            slot: h.slots[i],
+            pos: h.positions[i],
+        })
+        .collect()
 }
 
 /// Cursor snapshots are taken every this many selections; a payment
@@ -777,16 +826,16 @@ const SNAPSHOT_STRIDE: usize = 16;
 fn greedy_select_arena(
     arena: &crate::arena::BidArena,
     table: &crate::arena::SellerTable,
-    candidates: &[&crate::bid::Bid],
+    supply: u64,
     demand: u64,
     stats: &mut HeapStats,
-) -> (Vec<(crate::bid::Bid, u64)>, Vec<Vec<u32>>) {
+) -> (Vec<Picked>, Vec<Vec<u32>>) {
     let mut cursors = arena.initial_cursors();
     let mut snapshots: Vec<Vec<u32>> = Vec::new();
     let mut sold = vec![false; table.len()];
-    let mut total_max = table.total_max();
+    let mut total_max = supply;
     let mut remaining = demand;
-    let mut selection: Vec<(crate::bid::Bid, u64)> = Vec::new();
+    let mut selection: Vec<Picked> = Vec::new();
     while remaining > 0 {
         if selection.len().is_multiple_of(SNAPSHOT_STRIDE) {
             snapshots.push(cursors.clone());
@@ -801,13 +850,22 @@ fn greedy_select_arena(
                 |a, s| contribution(a, rem) + (tm - table.max_of(s)) >= rem,
             )
             .expect("a safe bid exists while the feasibility invariant holds");
-        let winner = *candidates[pick.cand as usize];
-        let c = contribution(winner.amount, remaining);
+        let c = contribution(pick.amount, remaining);
         remaining -= c;
         total_max -= table.max_of(pick.slot);
         sold[pick.slot as usize] = true;
         arena.consume(&mut cursors, &pick);
-        selection.push((winner, c));
+        selection.push(Picked {
+            bid: crate::bid::Bid {
+                seller: table.id_of(pick.slot),
+                id: BidId::new(pick.bid as usize),
+                amount: pick.amount,
+                price: Price::new_unchecked(arena.price_at(pick.col)),
+            },
+            contribution: c,
+            slot: pick.slot,
+            pos: pick.pos,
+        });
     }
     (selection, snapshots)
 }
@@ -823,18 +881,14 @@ fn greedy_select_arena(
 fn batched_replays(
     arena: &crate::arena::BidArena,
     table: &crate::arena::SellerTable,
-    selection: &[(crate::bid::Bid, u64)],
+    selection: &[Picked],
     prefix: &[PrefixStep],
-    position: &std::collections::BTreeMap<MicroserviceId, usize>,
+    position_by_slot: &[u32],
     snapshots: &[Vec<u32>],
 ) -> Vec<ReplayOutcome> {
     let winners = selection.len();
     if winners == 0 {
         return Vec::new();
-    }
-    let mut position_by_slot = vec![u32::MAX; table.len()];
-    for (s, &p) in position {
-        position_by_slot[table.slot_of(*s) as usize] = p as u32;
     }
     let batch =
         crate::pricing::effective_replay_batch(winners, crate::pricing::current_pricing_threads());
@@ -853,18 +907,17 @@ fn batched_replays(
             let mut epoch = vec![0u32; table.len()];
             (lo..hi)
                 .map(|p| {
-                    let (winner, _) = &selection[p];
-                    let w_slot = table.slot_of(winner.seller);
+                    let winner = &selection[p];
                     work.copy_from_slice(&snapshots[p / SNAPSHOT_STRIDE]);
                     replay_payment_arena(
                         arena,
                         table,
                         prefix,
-                        &position_by_slot,
+                        position_by_slot,
                         p,
-                        w_slot,
-                        winner.amount,
-                        table.max_of(w_slot),
+                        winner.slot,
+                        winner.bid.amount,
+                        table.max_of(winner.slot),
                         &mut work,
                         &mut epoch,
                         (p - lo) as u32 + 1,
@@ -990,21 +1043,20 @@ struct PrefixStep {
 }
 
 /// Snapshots the real run's per-iteration state (`PrefixStep`s in
-/// selection order) and each winning seller's selection position.
+/// selection order) and each winning seller's selection position, by
+/// slot (`u32::MAX` for sellers that did not win).
 fn build_prefix(
-    selection: &[(crate::bid::Bid, u64)],
+    selection: &[Picked],
     demand: u64,
     supply: u64,
-    per_seller_best: &std::collections::BTreeMap<MicroserviceId, u64>,
-) -> (
-    Vec<PrefixStep>,
-    std::collections::BTreeMap<MicroserviceId, usize>,
-) {
+    table: &crate::arena::SellerTable,
+) -> (Vec<PrefixStep>, Vec<u32>) {
     let mut prefix = Vec::with_capacity(selection.len());
-    let mut position = std::collections::BTreeMap::new();
+    let mut position_by_slot = vec![u32::MAX; table.len()];
     let mut remaining = demand;
     let mut total_max = supply;
-    for (p, (winner, c)) in selection.iter().enumerate() {
+    for (p, pick) in selection.iter().enumerate() {
+        let winner = &pick.bid;
         prefix.push(PrefixStep {
             seller: winner.seller,
             bid: winner.id,
@@ -1012,11 +1064,11 @@ fn build_prefix(
             remaining,
             total_max,
         });
-        position.insert(winner.seller, p);
-        remaining -= c;
-        total_max -= per_seller_best.get(&winner.seller).copied().unwrap_or(0);
+        position_by_slot[pick.slot as usize] = p as u32;
+        remaining -= pick.contribution;
+        total_max -= table.max_of(pick.slot);
     }
-    (prefix, position)
+    (prefix, position_by_slot)
 }
 
 /// What one worker hands back from a payment replay: pure data, merged
@@ -1052,13 +1104,14 @@ struct ReplayOutcome {
 ///   at `p`, keeping [`CriticalSource`] provenance byte-identical.
 fn replay_payment(
     candidates: &[&crate::bid::Bid],
+    slots: &[u32],
     prefix: &[PrefixStep],
-    position: &std::collections::BTreeMap<MicroserviceId, usize>,
+    position_by_slot: &[u32],
     p: usize,
-    winner: &crate::bid::Bid,
+    winner: &Picked,
     phantom: u64,
 ) -> ReplayOutcome {
-    let amount = winner.amount;
+    let amount = winner.bid.amount;
     let mut threshold = 0.0f64;
     let mut source: Option<CriticalSource> = None;
     for (k, step) in prefix.iter().take(p).enumerate() {
@@ -1083,14 +1136,15 @@ fn replay_payment(
     // the real run's winner is still available and safe.
     let suffix: Vec<&crate::bid::Bid> = candidates
         .iter()
-        .copied()
-        .filter(|b| b.seller != winner.seller && position.get(&b.seller).is_none_or(|&q| q >= p))
+        .zip(slots)
+        .filter(|&(_, &s)| s != winner.slot && position_by_slot[s as usize] as usize >= p)
+        .map(|(&b, _)| b)
         .collect();
     let mut state = HeapGreedy::new(suffix, prefix[p].remaining, phantom);
     let mut iteration = p as u64;
     while state.remaining > 0 {
         let best = match state.pop_best_safe() {
-            Some(b) => b,
+            Some(i) => state.bids[i],
             None => {
                 return ReplayOutcome {
                     threshold: None,
@@ -1154,7 +1208,7 @@ fn critical_threshold(
     let mut iteration = 0u64;
     while state.remaining > 0 {
         let best = match state.pop_best_safe() {
-            Some(b) => b,
+            Some(i) => state.bids[i],
             None => {
                 stats.absorb(state.stats);
                 return None;
@@ -1440,7 +1494,7 @@ pub mod reference {
         let mut stats = HeapStats::default();
         let selection = greedy_select(candidates.clone(), demand, &mut stats);
         let mut thresholds = Vec::with_capacity(selection.len());
-        for (winner, _) in &selection {
+        for winner in selection.iter().map(|&(i, _)| candidates[i]) {
             let without: Vec<&crate::bid::Bid> = candidates
                 .iter()
                 .copied()

@@ -101,12 +101,14 @@ pub fn preregister() {
     for stage in [
         "msoa",
         "round",
+        "ctx",
         "patch",
         "ssam",
         "selection",
         "arena.build",
         "merge",
         "pricing",
+        "settle",
         "backfill",
         "service.apply",
         "fed.deliver",
