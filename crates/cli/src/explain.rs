@@ -412,7 +412,7 @@ pub fn explain_round(
             end.u64("winners").unwrap_or(0),
             num(end.f64("social_cost").unwrap_or(f64::NAN)),
         );
-        if let Some(paid) = end.f64("total_payment") {
+        if let Some(paid) = platform_paid(end) {
             let _ = write!(out, ", payments {}", num(paid));
         }
         let _ = writeln!(out);
@@ -427,6 +427,14 @@ pub fn explain_round(
         );
     }
     Ok(out)
+}
+
+/// What the platform paid in a round, from its `round.end`: the MSOA
+/// round loop records `platform_cost`; traces written before MSOA and
+/// recovery shared one loop record `total_payment` on plain runs.
+fn platform_paid(end: &TraceEvent) -> Option<f64> {
+    end.f64("platform_cost")
+        .or_else(|| end.f64("total_payment"))
 }
 
 /// One-screen aggregate table over every recorded round: winners,
@@ -480,11 +488,7 @@ pub fn explain_summary(events: &[TraceEvent]) -> Result<String, ExplainError> {
         let demand = start.and_then(|e| e.u64("demand")).unwrap_or(0);
         let winners = end.and_then(|e| e.u64("winners")).unwrap_or(0);
         let cost = end.and_then(|e| e.f64("social_cost")).unwrap_or(0.0);
-        // Recovery round.end carries platform_cost, plain carries
-        // total_payment; either is "what the platform paid".
-        let paid = end
-            .and_then(|e| e.f64("total_payment").or_else(|| e.f64("platform_cost")))
-            .unwrap_or(0.0);
+        let paid = end.and_then(|e| platform_paid(e)).unwrap_or(0.0);
         let mut replays = 0u64;
         let mut iters = 0u64;
         let mut prefix = 0u64;

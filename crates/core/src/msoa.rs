@@ -18,6 +18,12 @@
 //! optimum, with `α` the single-stage approximation factor and
 //! `β = min_i Θ_i / a_ij > 1`.
 //!
+//! This module holds the instance types, `α`/`β`, and the per-round
+//! pieces the loop calls (`clear_round`, `record_patch`). The round
+//! loop itself lives in [`crate::recovery`]: [`run_msoa`] is *defined*
+//! as that loop run with an empty fault plan and recovery disabled, so
+//! there is one Algorithm 2 implementation, not two kept in step.
+//!
 //! # Examples
 //!
 //! ```
@@ -45,12 +51,13 @@
 //! ```
 
 use crate::bid::{Bid, Seller};
-use crate::book::{Exclusion, Fate, MarketBook, RoundBook, SellerIndex};
+use crate::book::{MarketBook, SellerIndex};
 use crate::error::AuctionError;
+use crate::recovery::{run_msoa_with_faults_traced, FaultPlan, RecoveryConfig};
 use crate::ssam::{clear_book, Cleared, SsamConfig};
 use edge_common::id::{BidId, MicroserviceId};
 use edge_common::units::Price;
-use edge_telemetry::{event, Level, Scoped, Trace, Value};
+use edge_telemetry::{event, Scoped, Trace, Value};
 use serde::{Deserialize, Serialize};
 
 /// One round's market input.
@@ -367,9 +374,17 @@ pub fn run_msoa(
 
 /// [`run_msoa`] with an audit trail: per round, every bid exclusion
 /// (window/capacity), every ψ-scaling applied to a surviving bid, and
-/// every winner's ψ/χ update is recorded on `trace`; the nested
-/// single-stage auction's events are stamped with the round index.
-/// Tracing does not change the outcome.
+/// every winner's settlement with its ψ/χ update is recorded on `trace`;
+/// the nested single-stage auction's events are stamped with the round
+/// index. Tracing does not change the outcome.
+///
+/// MSOA *is* the fault pipeline of [`crate::recovery`] run with an
+/// [empty plan](FaultPlan::empty) and recovery
+/// [disabled](RecoveryConfig::disabled): nobody defaults, crashes or
+/// gets blacklisted, no reliability penalty is priced in, and an
+/// infeasible round never starts a backfill ladder. Its outcome is
+/// projected onto [`MsoaOutcome`] — every winner's commitment is its
+/// contribution and it is paid what it is due.
 ///
 /// # Errors
 ///
@@ -379,28 +394,53 @@ pub fn run_msoa_traced(
     config: &MsoaConfig,
     trace: Trace<'_>,
 ) -> Result<MsoaOutcome, AuctionError> {
-    run_msoa_impl(instance, config, trace, true)
+    let run = run_msoa_with_faults_traced(
+        instance,
+        config,
+        &FaultPlan::empty(),
+        &RecoveryConfig::disabled(),
+        trace,
+    )?;
+    let rounds = run
+        .rounds
+        .into_iter()
+        .map(|r| RoundResult {
+            round: r.round,
+            demand: r.demand,
+            winners: r
+                .winners
+                .iter()
+                .map(|w| MsoaWinner {
+                    seller: w.seller,
+                    bid: w.bid,
+                    amount: w.amount,
+                    contribution: w.committed,
+                    true_price: w.true_price,
+                    scaled_price: w.scaled_price,
+                    payment: w.payment_due,
+                })
+                .collect(),
+            social_cost: r.social_cost,
+            total_payment: r.platform_cost,
+            infeasible: r.primary_infeasible,
+        })
+        .collect();
+    let competitive_bound = if run.beta > 1.0 {
+        run.alpha * run.beta / (run.beta - 1.0)
+    } else {
+        f64::INFINITY
+    };
+    Ok(MsoaOutcome {
+        rounds,
+        social_cost: run.social_cost,
+        total_payment: run.platform_cost,
+        psi: run.psi,
+        chi: run.chi,
+        alpha: run.alpha,
+        beta: run.beta,
+        competitive_bound,
+    })
 }
-
-/// [`run_msoa_traced`] with the persistent market book rebuilt from
-/// scratch every round. This is the *cold oracle* for the differential
-/// suite: same code path, same emission order, only the patching turned
-/// off, so outcomes and traces must be byte-identical to the persistent
-/// run.
-#[cfg(feature = "ssam-reference")]
-#[doc(hidden)]
-pub fn run_msoa_cold_traced(
-    instance: &MultiRoundInstance,
-    config: &MsoaConfig,
-    trace: Trace<'_>,
-) -> Result<MsoaOutcome, AuctionError> {
-    run_msoa_impl(instance, config, trace, false)
-}
-
-/// Per-seller inputs the round evaluation reads, packed for the
-/// [`RoundBook`]'s dirty check: window membership this round, the ψ
-/// bits, and consumed capacity. Floats are compared as bits.
-type MsoaCtx = (bool, u64, u64);
 
 /// Clears one round's primary auction on the book. `None` when the
 /// admitted bids cannot cover `demand` — no auction runs, exactly as a
@@ -442,244 +482,6 @@ pub(crate) fn record_patch(stats: crate::book::PatchStats) {
         edge_telemetry::spans::ctr("patched_slots", stats.patched_slots);
         edge_telemetry::spans::ctr("total_slots", stats.total_slots);
     }
-}
-
-fn run_msoa_impl(
-    instance: &MultiRoundInstance,
-    config: &MsoaConfig,
-    trace: Trace<'_>,
-    persistent: bool,
-) -> Result<MsoaOutcome, AuctionError> {
-    let sellers = instance.sellers();
-    let alpha = resolve_alpha(instance, config);
-    let beta = instance.beta();
-
-    trace.emit_with(Level::Info, "msoa.start", || {
-        vec![
-            ("rounds", Value::from(instance.rounds().len())),
-            ("sellers", Value::from(sellers.len())),
-            ("alpha", Value::from(alpha)),
-            ("beta", Value::from(beta)),
-        ]
-    });
-
-    let mut psi = vec![0.0f64; sellers.len()];
-    let mut chi = vec![0u64; sellers.len()];
-    let seller_ids: Vec<MicroserviceId> = sellers.iter().map(|s| s.id).collect();
-    let mut book: RoundBook<MsoaCtx> = RoundBook::new(&seller_ids, config.ssam.reserve_unit_price);
-    let live = crate::live::AuctionLive::handle();
-    let capacity_sum: u64 = sellers.iter().map(|s| s.capacity).sum();
-
-    let _msoa_span = edge_telemetry::spans::enter("msoa");
-    let mut rounds = Vec::with_capacity(instance.rounds().len());
-    for (t, input) in instance.rounds().iter().enumerate() {
-        let _round_span = edge_telemetry::spans::enter("round");
-        let t = t as u64;
-        trace.emit_with(Level::Info, "round.start", || {
-            vec![
-                ("round", Value::from(t)),
-                ("demand", Value::from(input.estimated_demand)),
-                ("bids", Value::from(input.bids.len())),
-            ]
-        });
-        // Candidate filter: availability window and remaining capacity
-        // (Alg. 2 lines 5–6); price scaling (line 8). Evaluated through
-        // the persistent book: a seller's bids are only re-evaluated
-        // when its (window, ψ, χ) context changed since the previous
-        // round — the evaluation is a pure function of that context and
-        // the bid, so patched and cold rounds produce identical bits.
-        // Trace emission below is never skipped.
-        if !persistent {
-            book.invalidate();
-        }
-        let seller_ctx: Vec<MsoaCtx> = {
-            let _ctx_span = edge_telemetry::spans::enter("ctx");
-            sellers
-                .iter()
-                .enumerate()
-                .map(|(si, s)| (s.available_at(t), psi[si].to_bits(), chi[si]))
-                .collect()
-        };
-        {
-            let _patch_span = edge_telemetry::spans::enter("patch");
-            record_patch(book.round(&input.bids, &seller_ctx, |si, bid| {
-                if !seller_ctx[si].0 {
-                    return Fate::Excluded(Exclusion::Window);
-                }
-                if chi[si] + bid.amount > sellers[si].capacity {
-                    return Fate::Excluded(Exclusion::Capacity);
-                }
-                Fate::Scaled(Price::new_unchecked(
-                    bid.price.value() + bid.amount as f64 * psi[si],
-                ))
-            }));
-        }
-        let market = book.book();
-        if trace.is_on() {
-            for (pos, bid) in input.bids.iter().enumerate() {
-                let si = market.owner(pos);
-                match market.fate(pos) {
-                    Fate::Excluded(Exclusion::Capacity) => {
-                        trace.emit_with(Level::Debug, "bid.excluded", || {
-                            vec![
-                                ("round", Value::from(t)),
-                                ("seller", Value::from(bid.seller.index())),
-                                ("bid", Value::from(bid.id.index())),
-                                ("reason", Value::from("capacity")),
-                                ("chi", Value::from(chi[si])),
-                                ("amount", Value::from(bid.amount)),
-                                ("capacity", Value::from(sellers[si].capacity)),
-                            ]
-                        });
-                    }
-                    Fate::Excluded(reason) => {
-                        trace.emit_with(Level::Debug, "bid.excluded", || {
-                            vec![
-                                ("round", Value::from(t)),
-                                ("seller", Value::from(bid.seller.index())),
-                                ("bid", Value::from(bid.id.index())),
-                                ("reason", Value::from(reason.as_str())),
-                            ]
-                        });
-                    }
-                    Fate::Scaled(scaled) => {
-                        trace.emit_with(Level::Debug, "bid.scaled", || {
-                            vec![
-                                ("round", Value::from(t)),
-                                ("seller", Value::from(bid.seller.index())),
-                                ("bid", Value::from(bid.id.index())),
-                                ("amount", Value::from(bid.amount)),
-                                ("true_price", Value::from(bid.price.value())),
-                                ("psi", Value::from(psi[si])),
-                                ("psi_adjust", Value::from(bid.amount as f64 * psi[si])),
-                                ("scaled_price", Value::from(scaled.value())),
-                            ]
-                        });
-                    }
-                }
-            }
-        }
-
-        let demand = input.estimated_demand;
-        let pricing_before = edge_telemetry::pricing::snapshot();
-        let cleared = clear_round(market, demand, config, t, trace)?;
-
-        let _settle_span = edge_telemetry::spans::enter("settle");
-        let result = match cleared {
-            None => RoundResult {
-                round: t,
-                demand,
-                winners: Vec::new(),
-                social_cost: Price::ZERO,
-                total_payment: Price::ZERO,
-                infeasible: demand > 0,
-            },
-            Some(Cleared { outcome, positions }) => {
-                let mut winners = Vec::with_capacity(outcome.winners.len());
-                for (w, &pos) in outcome.winners.iter().zip(&positions) {
-                    let original = &input.bids[pos as usize];
-                    let si = market.owner(pos as usize);
-                    // Line 11: multiplicative ψ update for winners.
-                    let theta = sellers[si].capacity as f64;
-                    let a = original.amount as f64;
-                    let psi_before = psi[si];
-                    psi[si] = psi[si] * (1.0 + a / (alpha * theta))
-                        + original.price.value() * a / (alpha * theta * theta);
-                    // Line 12: capacity consumption.
-                    chi[si] += original.amount;
-                    trace.emit_with(Level::Debug, "winner", || {
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(w.seller.index())),
-                            ("bid", Value::from(w.bid.index())),
-                            ("amount", Value::from(original.amount)),
-                            ("contribution", Value::from(w.contribution)),
-                            ("true_price", Value::from(original.price.value())),
-                            ("scaled_price", Value::from(w.price.value())),
-                            ("payment", Value::from(w.payment.value())),
-                            ("psi_before", Value::from(psi_before)),
-                            ("psi_after", Value::from(psi[si])),
-                            ("chi_after", Value::from(chi[si])),
-                        ]
-                    });
-                    winners.push(MsoaWinner {
-                        seller: w.seller,
-                        bid: w.bid,
-                        amount: original.amount,
-                        contribution: w.contribution,
-                        true_price: original.price,
-                        scaled_price: w.price,
-                        payment: w.payment,
-                    });
-                }
-                let social_cost: Price = winners.iter().map(|w| w.true_price).sum();
-                let total_payment: Price = winners.iter().map(|w| w.payment).sum();
-                RoundResult {
-                    round: t,
-                    demand,
-                    winners,
-                    social_cost,
-                    total_payment,
-                    infeasible: false,
-                }
-            }
-        };
-        trace.emit_with(Level::Info, "round.end", || {
-            vec![
-                ("round", Value::from(t)),
-                ("winners", Value::from(result.winners.len())),
-                ("social_cost", Value::from(result.social_cost.value())),
-                ("total_payment", Value::from(result.total_payment.value())),
-                ("infeasible", Value::from(result.infeasible)),
-            ]
-        });
-        // Live metrics: strictly reads of round state, after the trace
-        // events, so neither outcomes nor traces can be perturbed.
-        let pricing_delta = edge_telemetry::pricing::snapshot().delta_since(&pricing_before);
-        let supplied: u64 = result.winners.iter().map(|w| w.amount).sum();
-        let psi_max = psi.iter().copied().fold(0.0f64, f64::max);
-        live.record_round(
-            result.winners.len(),
-            result.infeasible,
-            supplied,
-            result.demand,
-            result.total_payment.value(),
-            result.social_cost.value(),
-            psi_max,
-            chi.iter().sum(),
-            capacity_sum,
-            &pricing_delta,
-        );
-        rounds.push(result);
-    }
-
-    let social_cost: Price = rounds.iter().map(|r| r.social_cost).sum();
-    let total_payment: Price = rounds.iter().map(|r| r.total_payment).sum();
-    let competitive_bound = if beta > 1.0 {
-        alpha * beta / (beta - 1.0)
-    } else {
-        f64::INFINITY
-    };
-
-    trace.emit_with(Level::Info, "msoa.end", || {
-        vec![
-            ("rounds", Value::from(rounds.len())),
-            ("social_cost", Value::from(social_cost.value())),
-            ("total_payment", Value::from(total_payment.value())),
-            ("competitive_bound", Value::from(competitive_bound)),
-        ]
-    });
-
-    Ok(MsoaOutcome {
-        rounds,
-        social_cost,
-        total_payment,
-        psi,
-        chi,
-        alpha,
-        beta,
-        competitive_bound,
-    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
-//! Seller-default recovery — MSOA under injected faults.
+//! Seller-default recovery — MSOA under injected faults, and the one
+//! Algorithm 2 round loop.
 //!
 //! The online mechanism of [`crate::msoa`] assumes every winner delivers
 //! what it committed. Real edge sellers crash, renege, and under-deliver,
-//! so this module runs the same Algorithm 2 loop against a deterministic
+//! so this module runs the Algorithm 2 loop against a deterministic
 //! [`FaultPlan`] and layers a platform-side recovery policy on top:
 //!
 //! * **Pro-rata clawback** — a winner that delivers `d` of its committed
@@ -25,10 +26,14 @@
 //! Whatever shortfall survives the ladder is recorded as an SLA violation
 //! — the run degrades gracefully and never panics.
 //!
-//! With an [empty plan](FaultPlan::empty) every scaled price, winner,
-//! payment, and ψ/χ trajectory is **bit-identical** to [`run_msoa`]'s
-//! (`ρ = 1` makes the penalty term exactly `0.0`), which is how the fault
-//! pipeline proves it does not perturb the fault-free mechanism.
+//! This loop is the only one: [`run_msoa`] *is* this pipeline run with
+//! an [empty plan](FaultPlan::empty) and [recovery
+//! disabled](RecoveryConfig::disabled), projected onto its outcome type.
+//! With recovery on, an empty plan still leaves every scaled price,
+//! winner, payment, and ψ/χ trajectory bit-identical to that run (`ρ = 1`
+//! makes the penalty term exactly `0.0`).
+//!
+//! [`run_msoa`]: crate::msoa::run_msoa
 //!
 //! # Examples
 //!
@@ -72,7 +77,7 @@ use crate::bid::Bid;
 use crate::book::{Exclusion, Fate, RoundBook};
 use crate::error::AuctionError;
 use crate::msoa::{clear_round, record_patch, resolve_alpha, MsoaConfig, MultiRoundInstance};
-use crate::ssam::{run_ssam_traced, Cleared};
+use crate::ssam::{run_ssam_traced, Cleared, WinningBid};
 use crate::wsp::WspInstance;
 use edge_common::id::{BidId, MicroserviceId};
 use edge_common::indicator::{Indicator, ObservedIndicators};
@@ -421,27 +426,34 @@ struct MarketState {
 }
 
 impl MarketState {
-    /// The ψ update of Alg. 2 line 11 plus χ consumption (line 12) —
-    /// float-op order identical to `run_msoa`'s, so an empty plan stays
-    /// bit-equal.
-    fn settle_win(&mut self, si: usize, theta: f64, bid: &Bid) {
+    /// The ψ update of Alg. 2 line 11 plus χ consumption (line 12).
+    /// Returns ψ before the update, for the settlement trace.
+    fn settle_win(&mut self, si: usize, theta: f64, bid: &Bid) -> f64 {
+        let psi_before = self.psi[si];
         let a = bid.amount as f64;
-        self.psi[si] = self.psi[si] * (1.0 + a / (self.alpha * theta))
+        self.psi[si] = psi_before * (1.0 + a / (self.alpha * theta))
             + bid.price.value() * a / (self.alpha * theta * theta);
         self.chi[si] += bid.amount;
+        psi_before
     }
 
-    /// Scaled price `∇ = J + a·ψ + a·λ·(1−ρ)`. With `ρ = 1` (or the
-    /// penalty disabled) the last term is exactly `0.0`, leaving the
-    /// plain MSOA price bit-for-bit.
+    /// Scaled price `∇ = J + a·ψ + a·λ·(1−ρ)` (Alg. 2 line 8 plus the
+    /// reliability penalty). With `ρ = 1` (or the penalty disabled) the
+    /// last term is exactly `0.0`, leaving the plain MSOA price `J + a·ψ`
+    /// bit-for-bit.
     fn scaled_price(&self, si: usize, bid: &Bid, recovery: &RecoveryConfig) -> Price {
         let base = bid.price.value() + bid.amount as f64 * self.psi[si];
-        let penalty = if recovery.enabled {
+        Price::new_unchecked(base + self.penalty(si, bid, recovery))
+    }
+
+    /// The reliability term `a·λ·(1−ρ)` of [`MarketState::scaled_price`]
+    /// (`0.0` with recovery off).
+    fn penalty(&self, si: usize, bid: &Bid, recovery: &RecoveryConfig) -> f64 {
+        if recovery.enabled {
             bid.amount as f64 * (recovery.reliability_weight * (1.0 - self.rho[si]))
         } else {
             0.0
-        };
-        Price::new_unchecked(base + penalty)
+        }
     }
 
     /// EMA reliability update after a (possibly partial) delivery, plus
@@ -506,8 +518,9 @@ pub fn run_msoa_with_faults_traced(
 }
 
 /// [`run_msoa_with_faults_traced`] with the persistent market book
-/// rebuilt from scratch every round — the cold oracle for the
-/// differential suite. Same code path and emission order as the
+/// rebuilt from scratch every round — the one cold oracle for the
+/// differential suite (plain MSOA is held against it with an empty plan
+/// and recovery off). Same code path and emission order as the
 /// persistent run, only the patching turned off; outcomes and traces
 /// must be byte-identical.
 #[cfg(feature = "ssam-reference")]
@@ -525,8 +538,9 @@ pub fn run_msoa_with_faults_cold_traced(
 /// Per-seller inputs the primary-auction evaluation reads, packed for
 /// the [`RoundBook`]'s dirty check: window membership, crash status,
 /// effective blacklisting, ψ bits, ρ bits, and consumed capacity.
-/// Floats are compared as bits.
-type FaultCtx = (bool, bool, bool, u64, u64, u64);
+/// Floats are compared as bits. Fixed for the round, so the backfill
+/// ladder reads window and crash status from it too.
+type SellerCtx = (bool, bool, bool, u64, u64, u64);
 
 fn run_msoa_with_faults_impl(
     instance: &MultiRoundInstance,
@@ -562,7 +576,8 @@ fn run_msoa_with_faults_impl(
         alpha,
     };
     let seller_ids: Vec<MicroserviceId> = sellers.iter().map(|s| s.id).collect();
-    let mut book: RoundBook<FaultCtx> = RoundBook::new(&seller_ids, config.ssam.reserve_unit_price);
+    let mut book: RoundBook<SellerCtx> =
+        RoundBook::new(&seller_ids, config.ssam.reserve_unit_price);
     let auction_live = crate::live::AuctionLive::handle();
     let recovery_live = crate::live::RecoveryLive::handle();
     let capacity_sum: u64 = sellers.iter().map(|s| s.capacity).sum();
@@ -576,12 +591,35 @@ fn run_msoa_with_faults_impl(
         let observed = plan.observed(t);
         let pricing_before = edge_telemetry::pricing::snapshot();
 
-        // Sellers and bids already used this round, for the exclusion
-        // ladder.
-        let mut won_bids: BTreeSet<(MicroserviceId, BidId)> = BTreeSet::new();
-        let mut faithful_winners: BTreeSet<MicroserviceId> = BTreeSet::new();
-        let mut defaulters: BTreeSet<MicroserviceId> = BTreeSet::new();
-        let mut winners: Vec<FaultWinner> = Vec::new();
+        let mut ledger = RoundLedger::default();
+        let mut delivered = 0u64;
+        // Settles one winner, primary or backfill: the ψ/χ update (Alg. 2
+        // lines 11–12), the plan's delivery with pro-rata clawback, and
+        // the reliability update, each traced. Returns the units
+        // delivered.
+        let settle = |state: &mut MarketState,
+                      ledger: &mut RoundLedger,
+                      si: usize,
+                      original: &Bid,
+                      w: &WinningBid,
+                      backfill: bool| {
+            let psi_before = state.settle_win(si, sellers[si].capacity as f64, original);
+            let settled = settle_delivery(
+                plan,
+                recovery,
+                t,
+                original,
+                w.contribution,
+                w.price,
+                w.payment,
+                backfill,
+            );
+            emit_settlement(trace, t, &settled, psi_before, state, si);
+            let was_blacklisted = state.blacklisted[si];
+            state.observe_delivery(si, settled.delivered, settled.committed, recovery);
+            emit_reliability(trace, t, state, si, was_blacklisted);
+            ledger.record(settled)
+        };
 
         trace.emit_with(Level::Info, "round.start", || {
             vec![
@@ -598,11 +636,11 @@ fn run_msoa_with_faults_impl(
         // pure function of that context and the bid, so patched and cold
         // rounds produce identical bits; trace emission below is never
         // skipped. The backfill ladder stays cold — its candidate set
-        // depends on intra-round settlement.
+        // depends on intra-round settlement — but reuses the context.
         if !persistent {
             book.invalidate();
         }
-        let seller_ctx: Vec<FaultCtx> = {
+        let seller_ctx: Vec<SellerCtx> = {
             let _ctx_span = edge_telemetry::spans::enter("ctx");
             sellers
                 .iter()
@@ -645,26 +683,35 @@ fn run_msoa_with_faults_impl(
                 match market.fate(pos) {
                     Fate::Excluded(reason) => {
                         trace.emit_with(Level::Debug, "bid.excluded", || {
-                            vec![
+                            let mut fields = vec![
                                 ("round", Value::from(t)),
                                 ("seller", Value::from(bid.seller.index())),
                                 ("bid", Value::from(bid.id.index())),
                                 ("reason", Value::from(reason.as_str())),
-                            ]
+                            ];
+                            if matches!(reason, Exclusion::Capacity) {
+                                fields.extend([
+                                    ("chi", Value::from(state.chi[si])),
+                                    ("amount", Value::from(bid.amount)),
+                                    ("capacity", Value::from(sellers[si].capacity)),
+                                ]);
+                            }
+                            fields
                         });
                     }
                     Fate::Scaled(scaled) => {
                         trace.emit_with(Level::Debug, "bid.scaled", || {
-                            let psi_adjust = bid.amount as f64 * state.psi[si];
                             vec![
                                 ("round", Value::from(t)),
                                 ("seller", Value::from(bid.seller.index())),
                                 ("bid", Value::from(bid.id.index())),
+                                ("amount", Value::from(bid.amount)),
                                 ("true_price", Value::from(bid.price.value())),
-                                ("psi_adjust", Value::from(psi_adjust)),
+                                ("psi", Value::from(state.psi[si])),
+                                ("psi_adjust", Value::from(bid.amount as f64 * state.psi[si])),
                                 (
                                     "reliability_adjust",
-                                    Value::from(scaled.value() - bid.price.value() - psi_adjust),
+                                    Value::from(state.penalty(si, bid, recovery)),
                                 ),
                                 ("rho", Value::from(state.rho[si])),
                                 ("scaled_price", Value::from(scaled.value())),
@@ -679,35 +726,12 @@ fn run_msoa_with_faults_impl(
         let settle_span = edge_telemetry::spans::enter("settle");
         if let Some(Cleared { outcome, positions }) = primary {
             for (w, &pos) in outcome.winners.iter().zip(&positions) {
-                let original = &input.bids[pos as usize];
                 let si = market.owner(pos as usize);
-                state.settle_win(si, sellers[si].capacity as f64, original);
-                let settled = settle_delivery(
-                    plan,
-                    recovery,
-                    t,
-                    original,
-                    w.contribution,
-                    w.price,
-                    w.payment,
-                    false,
-                );
-                won_bids.insert((w.seller, w.bid));
-                if settled.delivered < settled.committed {
-                    defaulters.insert(w.seller);
-                } else {
-                    faithful_winners.insert(w.seller);
-                }
-                emit_settlement(trace, t, &settled, &state, si);
-                let was_blacklisted = state.blacklisted[si];
-                state.observe_delivery(si, settled.delivered, settled.committed, recovery);
-                emit_reliability(trace, t, &state, si, was_blacklisted);
-                winners.push(settled);
+                let original = &input.bids[pos as usize];
+                delivered += settle(&mut state, &mut ledger, si, original, w, false);
             }
         }
         drop(settle_span);
-
-        let mut delivered: u64 = winners.iter().map(|w| w.delivered).sum();
         let mut shortfall = demand.saturating_sub(delivered);
 
         // --- Backfill ladder (recovery only). ---
@@ -731,22 +755,23 @@ fn run_msoa_with_faults_impl(
                 let mut origs: BTreeMap<(MicroserviceId, BidId), (usize, &Bid)> = BTreeMap::new();
                 for (pos, bid) in input.bids.iter().enumerate() {
                     let si = market.owner(pos);
-                    if !sellers[si].available_at(t) || plan.crashed(t, bid.seller) {
+                    let (window_ok, crashed, ..) = seller_ctx[si];
+                    if !window_ok || crashed {
                         continue;
                     }
-                    if won_bids.contains(&(bid.seller, bid.id)) {
+                    if ledger.won_bids.contains(&(bid.seller, bid.id)) {
                         continue;
                     }
                     // Relaxation ladder: defaulters never return this
                     // round; blacklisted sellers return at k ≥ 1;
                     // faithful winners' remaining bids at k ≥ 2.
-                    if defaulters.contains(&bid.seller) {
+                    if ledger.defaulters.contains(&bid.seller) {
                         continue;
                     }
                     if state.blacklisted[si] && k < 1 {
                         continue;
                     }
-                    if faithful_winners.contains(&bid.seller) && k < 2 {
+                    if ledger.faithful.contains(&bid.seller) && k < 2 {
                         continue;
                     }
                     if state.chi[si] + bid.amount > sellers[si].capacity {
@@ -767,36 +792,14 @@ fn run_msoa_with_faults_impl(
                 };
                 for w in &outcome.winners {
                     let (si, original) = origs[&(w.seller, w.bid)];
-                    state.settle_win(si, sellers[si].capacity as f64, original);
-                    let settled = settle_delivery(
-                        plan,
-                        recovery,
-                        t,
-                        original,
-                        w.contribution,
-                        w.price,
-                        w.payment,
-                        true,
-                    );
-                    won_bids.insert((w.seller, w.bid));
-                    if settled.delivered < settled.committed {
-                        defaulters.insert(w.seller);
-                        faithful_winners.remove(&w.seller);
-                    } else if !defaulters.contains(&w.seller) {
-                        faithful_winners.insert(w.seller);
-                    }
-                    emit_settlement(trace, t, &settled, &state, si);
-                    let was_blacklisted = state.blacklisted[si];
-                    state.observe_delivery(si, settled.delivered, settled.committed, recovery);
-                    emit_reliability(trace, t, &state, si, was_blacklisted);
-                    delivered += settled.delivered;
-                    winners.push(settled);
+                    delivered += settle(&mut state, &mut ledger, si, original, w, true);
                 }
                 shortfall = demand.saturating_sub(delivered);
             }
         }
 
         let _settle_span = edge_telemetry::spans::enter("settle");
+        let winners = ledger.winners;
         let social_cost: Price = winners.iter().map(|w| w.true_price).sum();
         let platform_cost: Price = winners.iter().map(|w| w.payment_made).sum();
         let clawed_back = Price::new_unchecked(
@@ -819,6 +822,7 @@ fn run_msoa_with_faults_impl(
             vec![
                 ("round", Value::from(t)),
                 ("winners", Value::from(winners.len())),
+                ("infeasible", Value::from(primary_infeasible)),
                 ("delivered", Value::from(delivered)),
                 ("shortfall", Value::from(shortfall)),
                 ("backfill_attempts", Value::from(backfill_attempts)),
@@ -828,10 +832,10 @@ fn run_msoa_with_faults_impl(
             ]
         });
         // Live metrics: strictly reads of round state, after the trace
-        // events, so neither outcomes nor traces can be perturbed. The
-        // recovery pipeline feeds the auction families too — `serve`
-        // always drives this path (empty plans are bit-identical to
-        // plain MSOA).
+        // events, so neither outcomes nor traces can be perturbed. This
+        // is the only round loop, so it feeds the auction families for
+        // plain MSOA and `serve` alike; coverage counts committed units,
+        // never the last winner's overshoot.
         let pricing_delta = edge_telemetry::pricing::snapshot().delta_since(&pricing_before);
         let supplied: u64 = winners.iter().map(|w| w.committed).sum();
         let psi_max = state.psi.iter().copied().fold(0.0f64, f64::max);
@@ -903,9 +907,44 @@ fn run_msoa_with_faults_impl(
     })
 }
 
+/// One round's settled winners, and the sets the backfill ladder's
+/// exclusions read.
+#[derive(Default)]
+struct RoundLedger {
+    winners: Vec<FaultWinner>,
+    won_bids: BTreeSet<(MicroserviceId, BidId)>,
+    faithful: BTreeSet<MicroserviceId>,
+    defaulters: BTreeSet<MicroserviceId>,
+}
+
+impl RoundLedger {
+    /// Books a settled winner; returns the units it delivered. A seller
+    /// that defaults on any win this round is a defaulter, never
+    /// faithful.
+    fn record(&mut self, w: FaultWinner) -> u64 {
+        self.won_bids.insert((w.seller, w.bid));
+        if w.delivered < w.committed {
+            self.defaulters.insert(w.seller);
+            self.faithful.remove(&w.seller);
+        } else if !self.defaulters.contains(&w.seller) {
+            self.faithful.insert(w.seller);
+        }
+        let delivered = w.delivered;
+        self.winners.push(w);
+        delivered
+    }
+}
+
 /// Records one winner's settlement on the trace: what it committed,
-/// delivered, was owed, and was actually paid.
-fn emit_settlement(trace: Trace<'_>, t: u64, w: &FaultWinner, state: &MarketState, si: usize) {
+/// delivered, was owed, and was actually paid, and its ψ/χ update.
+fn emit_settlement(
+    trace: Trace<'_>,
+    t: u64,
+    w: &FaultWinner,
+    psi_before: f64,
+    state: &MarketState,
+    si: usize,
+) {
     trace.emit_with(Level::Debug, "settlement", || {
         vec![
             ("round", Value::from(t)),
@@ -920,6 +959,7 @@ fn emit_settlement(trace: Trace<'_>, t: u64, w: &FaultWinner, state: &MarketStat
                 "clawback",
                 Value::from(w.payment_due.value() - w.payment_made.value()),
             ),
+            ("psi_before", Value::from(psi_before)),
             ("psi_after", Value::from(state.psi[si])),
             ("chi_after", Value::from(state.chi[si])),
         ]
@@ -1064,6 +1104,8 @@ mod tests {
         plan
     }
 
+    /// `run_msoa` is the disabled-recovery run by definition; the
+    /// enabled case is the real check — `ρ = 1` must zero the penalty.
     #[test]
     fn empty_plan_is_bit_equal_to_plain_msoa() {
         let instance = three_seller_instance(4);

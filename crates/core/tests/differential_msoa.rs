@@ -3,17 +3,19 @@
 //! be **byte-identical** to a cold rebuild of the book every round —
 //! same outcomes, same deterministic JSONL traces (event order, every
 //! field), including under non-empty fault plans where crashes,
-//! blacklisting, and reliability updates dirty sellers mid-run.
+//! blacklisting, and reliability updates dirty sellers mid-run. There is
+//! one cold oracle, `run_msoa_with_faults_cold_traced`; plain MSOA is
+//! held against it with an empty plan and recovery off.
 
 #![cfg(feature = "ssam-reference")]
 
 use edge_auction::bid::{Bid, Seller};
 use edge_auction::msoa::{
-    run_msoa_cold_traced, run_msoa_traced, MsoaConfig, MultiRoundInstance, RoundInput,
+    run_msoa_traced, MsoaConfig, MsoaOutcome, MultiRoundInstance, RoundInput,
 };
 use edge_auction::recovery::{
     run_msoa_with_faults_cold_traced, run_msoa_with_faults_traced, FaultInjectionConfig, FaultPlan,
-    RecoveryConfig,
+    FaultyMsoaOutcome, RecoveryConfig,
 };
 use edge_auction::ssam::SsamConfig;
 use edge_common::id::{BidId, MicroserviceId};
@@ -151,6 +153,52 @@ fn arb_config() -> impl Strategy<Value = MsoaConfig> {
     })
 }
 
+/// The cold oracle for plain MSOA: the fault pipeline with the book
+/// rebuilt every round, an empty plan, and recovery off.
+fn plain_cold_traced(
+    instance: &MultiRoundInstance,
+    config: &MsoaConfig,
+    trace: Trace<'_>,
+) -> Result<FaultyMsoaOutcome, edge_auction::AuctionError> {
+    run_msoa_with_faults_cold_traced(
+        instance,
+        config,
+        &FaultPlan::empty(),
+        &RecoveryConfig::disabled(),
+        trace,
+    )
+}
+
+/// Every field a plain outcome shares with the cold fault-pipeline
+/// outcome, compared bit for bit.
+fn assert_same_outcome(plain: &MsoaOutcome, cold: &FaultyMsoaOutcome) -> Result<(), String> {
+    prop_assert_eq!(&plain.psi, &cold.psi);
+    prop_assert_eq!(&plain.chi, &cold.chi);
+    prop_assert_eq!(plain.alpha.to_bits(), cold.alpha.to_bits());
+    prop_assert_eq!(plain.beta.to_bits(), cold.beta.to_bits());
+    prop_assert_eq!(plain.social_cost, cold.social_cost);
+    prop_assert_eq!(plain.total_payment, cold.platform_cost);
+    prop_assert_eq!(plain.rounds.len(), cold.rounds.len());
+    for (p, c) in plain.rounds.iter().zip(&cold.rounds) {
+        prop_assert_eq!((p.round, p.demand), (c.round, c.demand));
+        prop_assert_eq!(p.infeasible, c.primary_infeasible);
+        prop_assert_eq!(p.social_cost, c.social_cost);
+        prop_assert_eq!(p.total_payment, c.platform_cost);
+        prop_assert_eq!(p.winners.len(), c.winners.len());
+        for (pw, cw) in p.winners.iter().zip(&c.winners) {
+            prop_assert_eq!(
+                (pw.seller, pw.bid, pw.amount),
+                (cw.seller, cw.bid, cw.amount)
+            );
+            prop_assert_eq!(pw.contribution, cw.committed);
+            prop_assert_eq!(pw.true_price, cw.true_price);
+            prop_assert_eq!(pw.scaled_price, cw.scaled_price);
+            prop_assert_eq!(pw.payment, cw.payment_due);
+        }
+    }
+    Ok(())
+}
+
 /// Persistent MSOA ≡ cold-rebuild MSOA: outcome and full trace.
 fn assert_plain_matches_cold(
     instance: &MultiRoundInstance,
@@ -159,9 +207,9 @@ fn assert_plain_matches_cold(
     let warm_c = Collector::new();
     let warm = run_msoa_traced(instance, config, Trace::new(&warm_c));
     let cold_c = Collector::new();
-    let cold = run_msoa_cold_traced(instance, config, Trace::new(&cold_c));
+    let cold = plain_cold_traced(instance, config, Trace::new(&cold_c));
     match (warm, cold) {
-        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+        (Ok(a), Ok(b)) => assert_same_outcome(&a, &b)?,
         (Err(a), Err(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
         (a, b) => return Err(format!("divergent results: {a:?} vs {b:?}")),
     }
@@ -365,8 +413,8 @@ fn persistent_book_matches_cold_on_a_scripted_run() {
         let warm = run_msoa_traced(&instance, &config, Trace::new(&warm_c)).unwrap();
         let tree = edge_telemetry::spans::uninstall().unwrap();
         let cold_c = Collector::new();
-        let cold = run_msoa_cold_traced(&instance, &config, Trace::new(&cold_c)).unwrap();
-        assert_eq!(warm, cold);
+        let cold = plain_cold_traced(&instance, &config, Trace::new(&cold_c)).unwrap();
+        assert_same_outcome(&warm, &cold).unwrap();
         assert_eq!(warm_c.deterministic_jsonl(), cold_c.deterministic_jsonl());
 
         let counter = |key: &str| -> u64 {
